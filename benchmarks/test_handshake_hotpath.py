@@ -31,7 +31,7 @@ import time
 
 from repro.cdn.geography import GeoLocation, Region
 from repro.cdn.network import CDNNetwork
-from repro.crypto.signing import KeyPair, verify_batch
+from repro.crypto.signing import DEFAULT_BATCH_WIDTH, KeyPair, verify_batch
 from repro.dictionary.signed_root import SignedRoot
 from repro.net.clock import SimulatedClock
 from repro.analysis.reporting import format_table
@@ -177,10 +177,10 @@ def bench_proof_build(cas, agent, probes):
     }
 
 
-def bench_batch_verify(config):
+def bench_batch_verify():
     """Batched vs one-by-one Ed25519 verification of signed roots."""
     keys = KeyPair.generate(b"hotpath-batch")
-    width = config.signature_batch_width
+    width = DEFAULT_BATCH_WIDTH
     roots = []
     for index in range(width):
         unsigned = SignedRoot(
@@ -239,7 +239,7 @@ def test_handshake_hotpath():
     handshake, root_cache, validation_cache = bench_handshakes(config, corpus, cas, agent)
     status_verify = bench_status_verify(config, cas, agent, probes[-1])
     proof_build = bench_proof_build(cas, agent, probes)
-    batch = bench_batch_verify(config)
+    batch = bench_batch_verify()
     edge = bench_edge_cache(config, cas, cdn)
 
     payload = {
@@ -248,7 +248,7 @@ def test_handshake_hotpath():
             "delta_seconds": config.delta_seconds,
             "proof_cache_size": config.proof_cache_size,
             "root_cache_size": config.root_cache_size,
-            "signature_batch_width": config.signature_batch_width,
+            "signature_batch_width": DEFAULT_BATCH_WIDTH,
             "cold_handshakes": COLD_HANDSHAKES,
             "warm_handshakes": WARM_HANDSHAKES,
         },

@@ -6,8 +6,7 @@ CAs, degraded infrastructure — into registered, runnable configurations:
 
 * :mod:`repro.scenarios.config` — the frozen :class:`ScenarioConfig` family;
 * :mod:`repro.scenarios.engine` — the discrete-event fleet engine that
-  executes a config against the real ``ritm``/``cdn``/``workloads`` layers
-  (:mod:`repro.scenarios.runner` remains as its import shim);
+  executes a config against the real ``ritm``/``cdn``/``workloads`` layers;
 * :mod:`repro.scenarios.report` — the pinned-schema :class:`ScenarioReport`
   (JSON + Markdown);
 * :mod:`repro.scenarios.registry` — named lookup used by the CLI and tests;
@@ -24,6 +23,7 @@ from repro.scenarios.config import (
     ScenarioConfig,
     WorkloadSpec,
 )
+from repro.scenarios.engine import run_scenario
 from repro.scenarios.registry import all_scenarios, get, names, register
 from repro.scenarios.report import (
     CACHE_METRIC_KEYS,
@@ -34,7 +34,6 @@ from repro.scenarios.report import (
     ScenarioCheck,
     ScenarioReport,
 )
-from repro.scenarios.runner import ScenarioRunner, run_scenario
 
 __all__ = [
     "ScenarioConfig",
@@ -49,7 +48,6 @@ __all__ = [
     "CACHE_METRIC_KEYS",
     "FLEET_METRIC_KEYS",
     "REPLICATION_METRIC_KEYS",
-    "ScenarioRunner",
     "run_scenario",
     "register",
     "get",

@@ -1,7 +1,7 @@
 """The discrete-event fleet engine behind every scenario run.
 
-This package is the event-driven successor of the serial ``_run_period``
-loop that used to live in ``repro.scenarios.runner``.  The moving parts:
+Every scenario runs in-process as one discrete-event loop.  The moving
+parts:
 
 * :mod:`~repro.scenarios.engine.state` — the mutable :class:`RunState` all
   actors and observers share, plus the per-agent and victim runtimes;
@@ -14,20 +14,16 @@ loop that used to live in ``repro.scenarios.runner``.  The moving parts:
   injection as ordered engine hooks instead of inline branches;
 * :mod:`~repro.scenarios.engine.links` — per-RA uplink shapes drawn from
   :class:`repro.net.Link` profiles;
-* :mod:`~repro.scenarios.engine.parallel` — opt-in process/thread pools for
-  Ed25519 batch verification and durable-WAL I/O;
 * :mod:`~repro.scenarios.engine.core` — the :class:`FleetEngine`
-  orchestrator; :mod:`~repro.scenarios.engine.runner` — the public
-  :class:`ScenarioRunner` facade.
+  orchestrator and :func:`run_scenario`, the public entry point.
 
 With every concurrency knob at its default the engine reproduces the
 serial runner's reports verdict-for-verdict; the knobs
 (``fleet_size``, ``pull_stagger_seconds``, ``pull_jitter_seconds``,
-``link_profile``, ``parallelism``, ``client_handshakes``) unlock the
-contention scenarios described in docs/SCENARIOS.md.
+``link_profile``, ``client_handshakes``) unlock the contention scenarios
+described in docs/SCENARIOS.md.
 """
 
-from repro.scenarios.engine.core import FleetEngine
-from repro.scenarios.engine.runner import ScenarioRunner, run_scenario
+from repro.scenarios.engine.core import FleetEngine, run_scenario
 
-__all__ = ["FleetEngine", "ScenarioRunner", "run_scenario"]
+__all__ = ["FleetEngine", "run_scenario"]

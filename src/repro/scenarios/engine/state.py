@@ -1,11 +1,11 @@
 """The mutable state one scenario run threads through its actors.
 
-:class:`RunState` is the former ``ScenarioRunner`` instance state made
-explicit: the deployment handles (CA, CDN, fleet runtimes, victim), the
-run's timeline, and every accumulator the period loop used to update
-inline — issuance batches, provability queue, fault bookkeeping, gossip
-detections, fleet/contention accounting.  Actors and observers receive the
-one shared instance instead of reaching into a runner object.
+:class:`RunState` holds everything one run mutates: the deployment handles
+(CA, CDN, fleet runtimes, victim), the run's timeline, and every
+accumulator the period loop updates — issuance batches, provability queue,
+fault bookkeeping, gossip detections, fleet/contention accounting.  Actors
+and observers receive the one shared instance instead of reaching into the
+engine.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class RunState:
     victim: Optional[VictimRuntime] = None
     serial_pool: Optional[object] = None
 
-    # -- the period loop's accumulators (formerly ScenarioRunner._*) --------------
+    # -- the period loop's accumulators -------------------------------------------
     events: List[Dict[str, object]] = field(default_factory=list)
     pending: List[PendingProvability] = field(default_factory=list)
     batches: List[List[SerialNumber]] = field(default_factory=list)

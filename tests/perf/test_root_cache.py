@@ -1,6 +1,6 @@
 """Tests for the verified-root cache: memoization that cannot go stale."""
 
-from repro.crypto.signing import KeyPair
+from repro.crypto.signing import DEFAULT_BATCH_WIDTH, KeyPair
 from repro.dictionary.signed_root import SignedRoot
 from repro.errors import SignatureError
 from repro.perf import VerifiedRootCache
@@ -105,6 +105,32 @@ class TestVerifiedRootCache:
         assert verdicts == [True] * 5
         assert cache.stats.hits == 1
         assert len(cache) == 5
+
+    def test_verify_many_spans_chunks_with_one_forgery(self, keys):
+        cache = VerifiedRootCache()
+        count = 2 * DEFAULT_BATCH_WIDTH + 1
+        roots = [make_root(keys, size=size) for size in range(1, count + 1)]
+        forged_index = DEFAULT_BATCH_WIDTH + 3  # inside the second chunk
+        genuine = roots[forged_index]
+        roots[forged_index] = SignedRoot(
+            ca_name=genuine.ca_name,
+            root=b"\x99" * 20,
+            size=genuine.size,
+            anchor=genuine.anchor,
+            timestamp=genuine.timestamp,
+            chain_length=genuine.chain_length,
+            signature=genuine.signature,
+        )
+        verdicts = cache.verify_many(roots, keys.public)
+        assert verdicts == [index != forged_index for index in range(count)]
+        assert len(cache) == count - 1
+        assert cache.stats.misses == count
+        assert cache.stats.hits == 0
+        # The forgery was not memoized: asking again is another miss.
+        assert not cache.verify(roots[forged_index], keys.public)
+        assert cache.stats.misses == count + 1
+        assert cache.stats.hits == 0
+        assert len(cache) == count - 1
 
     def test_eviction_keeps_index_consistent(self, keys):
         cache = VerifiedRootCache(maxsize=2)

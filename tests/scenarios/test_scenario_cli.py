@@ -62,7 +62,10 @@ def test_module_entry_point_exists():
     import repro.__main__  # noqa: F401  (importable without executing main)
 
 
-@pytest.mark.parametrize("argv", [[], ["bogus-verb"]])
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["bogus-verb"], ["run", "quickstart", "--parallelism", "process"]],
+)
 def test_bad_invocations_exit_nonzero(argv):
     with pytest.raises(SystemExit):
         main(argv)
